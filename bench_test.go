@@ -1,8 +1,9 @@
 package provmin
 
-// Benchmark harness: one testing.B benchmark per experiment of
-// EXPERIMENTS.md. `go test -bench=. -benchmem` regenerates the measured
-// series; `cmd/benchtables` prints them as the paper-style tables.
+// Benchmark harness for the experiments E1–E10: each section below names
+// the experiments it covers and the result of the paper it measures.
+// `go test -bench=. -benchmem` regenerates the measured series;
+// `cmd/benchtables` prints them as the paper-style tables.
 
 import (
 	"fmt"
@@ -44,7 +45,7 @@ func BenchmarkEvalTriangleRandomGraph(b *testing.B) {
 	}
 }
 
-// Evaluator ablation (DESIGN.md): each arm toggles one layer of the
+// Evaluator ablation (README.md, "Evaluator internals"): each arm toggles one layer of the
 // evaluation stack — interned vs string join keys, cardinality statistics
 // on/off, sequential vs parallel probe, hash vs nested-loop join. Arm
 // names use key=value segments so the bench pipeline's name handling
@@ -243,7 +244,7 @@ func BenchmarkEquivalenceGeneral(b *testing.B) {
 	}
 }
 
-// --- Order-relation ablation: exact matching vs greedy (DESIGN.md) ---
+// --- Order-relation ablation: exact matching vs greedy ---
 
 func BenchmarkPolyOrder(b *testing.B) {
 	p := cyclePolynomial(b, 3)

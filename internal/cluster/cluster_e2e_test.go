@@ -606,3 +606,41 @@ func TestClusterRebalance(t *testing.T) {
 		t.Fatalf("core changed across rebalance:\n%s\nwant:\n%s", got, want)
 	}
 }
+
+// TestRouterOversizedBody413 sends bodies past the request cap to each
+// router path that reads one. The router must refuse them whole with 413
+// and a JSON error instead of forwarding a truncated body.
+func TestRouterOversizedBody413(t *testing.T) {
+	tc := newTestCluster(t)
+	resp, body := doJSON(t, http.MethodPost, tc.router.URL+"/instances", map[string]string{"initial": seedFacts}, nil)
+	mustStatus(t, resp, body, http.StatusCreated)
+	var info struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(body, &info); err != nil {
+		t.Fatal(err)
+	}
+	big := string(bytes.Repeat([]byte("a"), cluster.MaxRequestBytes))
+	for _, c := range []struct {
+		path string
+		body map[string]string
+	}{
+		{"/query", map[string]string{"instance": info.ID, "query": big}},
+		{"/instances", map[string]string{"initial": big}},
+		{"/instances/" + info.ID + "/tuples", map[string]string{"facts": big}},
+	} {
+		resp, body := doJSON(t, http.MethodPost, tc.router.URL+c.path, c.body, nil)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s: status %d, want 413: %.200s", c.path, resp.StatusCode, body)
+			continue
+		}
+		var errBody struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(body, &errBody); err != nil || errBody.Error == "" {
+			t.Errorf("POST %s: 413 body is not a JSON error object: %.200s", c.path, body)
+		}
+	}
+	resp, body = doJSON(t, http.MethodPost, tc.router.URL+"/query", map[string]string{"instance": info.ID, "query": testQuery}, nil)
+	mustStatus(t, resp, body, http.StatusOK)
+}

@@ -73,6 +73,23 @@ type routerError struct {
 
 func (e *routerError) Error() string { return e.msg }
 
+// MaxRequestBytes bounds the request body a router or a node reads. A
+// larger body is refused whole with 413, never cut short: a truncated
+// body would be forwarded as if complete, or fail as a misleading parse
+// error.
+const MaxRequestBytes = 16 << 20
+
+// bodyError maps a failure reading a request body to the router's answer:
+// 413 for a body over MaxRequestBytes, 400 otherwise.
+func bodyError(err error) error {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return &routerError{http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)}
+	}
+	return &routerError{http.StatusBadRequest, "read body: " + err.Error()}
+}
+
 // RouterConfig configures NewRouter. The cache bounds follow the engine
 // Config sentinel convention: zero selects the default, a negative entry
 // bound disables response caching, and a negative byte bound removes the
@@ -188,6 +205,7 @@ func (rt *Router) route(pattern string, h func(w http.ResponseWriter, r *http.Re
 		start := time.Now()
 		reqs.Inc()
 		w.Header().Set(HeaderRing, strconv.FormatUint(version, 10))
+		r.Body = http.MaxBytesReader(w, r.Body, MaxRequestBytes)
 		err := CheckRing(r, version)
 		if err == nil {
 			err = h(w, r)
@@ -422,9 +440,9 @@ func (rt *Router) handleCoreGet(w http.ResponseWriter, r *http.Request) error {
 // readInstanceBody reads and compacts a JSON request body and extracts the
 // instance id it names.
 func readInstanceBody(r *http.Request) (canon []byte, id string, err error) {
-	raw, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
+	raw, err := io.ReadAll(r.Body)
 	if err != nil {
-		return nil, "", &routerError{http.StatusBadRequest, "read body: " + err.Error()}
+		return nil, "", bodyError(err)
 	}
 	return canonicalBody(raw)
 }
@@ -489,7 +507,11 @@ type createReq struct {
 func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) error {
 	var req createReq
 	if r.ContentLength != 0 {
-		dec := json.NewDecoder(io.LimitReader(r.Body, 16<<20))
+		raw, err := io.ReadAll(r.Body)
+		if err != nil {
+			return bodyError(err)
+		}
+		dec := json.NewDecoder(bytes.NewReader(raw))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
 			return &routerError{http.StatusBadRequest, "invalid JSON body: " + err.Error()}
@@ -515,9 +537,9 @@ func (rt *Router) handleDropInstance(w http.ResponseWriter, r *http.Request) err
 
 func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) error {
 	id := r.PathValue("id")
-	raw, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
+	raw, err := io.ReadAll(r.Body)
 	if err != nil {
-		return &routerError{http.StatusBadRequest, "read body: " + err.Error()}
+		return bodyError(err)
 	}
 	return rt.serveWrite(w, r, id, http.MethodPost, "/instances/"+url.PathEscape(id)+"/tuples", raw)
 }

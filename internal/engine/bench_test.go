@@ -6,7 +6,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"provmin/internal/db"
 	"provmin/internal/query"
+	"provmin/internal/workload"
 )
 
 func benchEngine(b *testing.B, tuples int) (*Engine, string) {
@@ -48,6 +50,54 @@ func BenchmarkCoreCold(b *testing.B) {
 		q := fmt.Sprintf("ans(x%d) :- R(x%d,y%d), R(y%d,z%d), R(x%d,w%d)", i, i, i, i, i, i, i)
 		u := query.MustParseUnion(q)
 		if _, err := e.Core(ctx, id, u); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCoreFresh measures /core the way a stream of never-repeated
+// requests pays for it: every iteration renames the variables of one
+// three-adjunct UCQ afresh, so it misses the min-cache and runs MinProv
+// (ten adjuncts out) and then evaluates the p-minimal form on a 16-fact,
+// two-relation instance. On an instance this small the per-call allocation
+// volume, not the join work, sets the cost.
+func BenchmarkCoreFresh(b *testing.B) {
+	e := New(Config{Workers: 4, CacheSize: 64, ResultCacheSize: -1})
+	b.Cleanup(e.Close)
+	info, err := e.CreateInstance("")
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := db.NewInstance()
+	g := db.NewGenerator(37)
+	g.RandomGraph(d, "R1", 5, 8)
+	g.RandomGraph(d, "R2", 5, 8)
+	var facts []Fact
+	for _, r := range d.Relations() {
+		for _, row := range r.Rows() {
+			facts = append(facts, Fact{Rel: r.Name, Tag: row.Tag, Values: row.Tuple})
+		}
+	}
+	if err := e.Ingest(info.ID, facts); err != nil {
+		b.Fatal(err)
+	}
+	base := workload.RandomUCQ(6, 3, workload.QueryParams{
+		NumAtoms: 4, NumVars: 4, NumRels: 2, Arity: 2,
+		HeadArity: 1, DiseqProb: 0.2, SelfJoinOK: true,
+	})
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		u := &query.UCQ{Adjuncts: make([]*query.CQ, len(base.Adjuncts))}
+		for j, q := range base.Adjuncts {
+			s := query.Subst{}
+			for _, v := range q.Vars() {
+				s[v] = query.V(fmt.Sprintf("%s_%d", v, i))
+			}
+			u.Adjuncts[j] = q.ApplySubst(s)
+		}
+		if _, err := e.Core(ctx, info.ID, u); err != nil {
 			b.Fatal(err)
 		}
 	}

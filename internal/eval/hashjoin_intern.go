@@ -25,6 +25,15 @@ import (
 // the goroutine hand-off costs more than the probe itself.
 const parallelProbeThreshold = 1024
 
+// Probe arenas start at firstArenaBlock nodes and double per block up to
+// maxArenaBlock, so a step that emits a handful of nodes allocates a
+// handful of slots while a large step still pays one malloc per
+// maxArenaBlock nodes.
+const (
+	firstArenaBlock = 8
+	maxArenaBlock   = 512
+)
+
 // ihjNode is one partial assignment: ids of the variables its step newly
 // bound, the row tag joined in, and the assignment it extends. Immutable
 // after construction, so nodes are shared freely across worker goroutines.
@@ -199,15 +208,19 @@ func (e *ihashEval) buildSide(step int, at iAtom) ([]varRef, *ibuckets) {
 
 	bk := newIBuckets(len(joinCols))
 	keyIDs := make([]uint32, len(joinCols))
-	rows := e.candidateRows(at)
+	rows, n := e.candidateRows(at)
 	// One flat id arena for every admitted row's projection instead of one
 	// tiny slice per row; capacity covers all candidates, so appends never
 	// reallocate and the sub-slices stay valid.
 	var flat []uint32
 	if len(newCols) > 0 {
-		flat = make([]uint32, 0, len(rows)*len(newCols))
+		flat = make([]uint32, 0, n*len(newCols))
 	}
-	for _, rowIdx := range rows {
+	for k := 0; k < n; k++ {
+		rowIdx := k
+		if rows != nil {
+			rowIdx = rows[k]
+		}
 		row := at.rel.RowIDs(rowIdx)
 		ok := true
 		for i, a := range at.args {
@@ -241,18 +254,17 @@ func (e *ihashEval) buildSide(step int, at iAtom) ([]varRef, *ibuckets) {
 }
 
 // candidateRows narrows the build scan by the per-column id index on the
-// first constant argument, falling back to a full scan.
-func (e *ihashEval) candidateRows(at iAtom) []int {
+// first constant argument. It returns the narrowed row indices and their
+// count, or nil and the relation's length for a full scan, which then
+// needs no index slice at all.
+func (e *ihashEval) candidateRows(at iAtom) ([]int, int) {
 	for col, a := range at.args {
 		if a.isConst {
-			return at.rel.RowsWithID(col, a.val)
+			rows := at.rel.RowsWithID(col, a.val)
+			return rows, len(rows)
 		}
 	}
-	all := make([]int, at.rel.Len())
-	for i := range all {
-		all[i] = i
-	}
-	return all
+	return nil, at.rel.Len()
 }
 
 // probe extends every partial assignment in cur through the buckets,
@@ -294,10 +306,11 @@ func (e *ihashEval) probeChunk(step int, cur []*ihjNode, joinRefs []varRef, bk *
 	next := make([]*ihjNode, 0, len(cur))
 	keyIDs := make([]uint32, len(joinRefs))
 	var wideKey []byte
-	// Nodes come from block-allocated arenas — one malloc per 512 nodes
-	// instead of per node. Pointers into a full block stay valid when the
-	// next block is started, and each chunk has its own arena, so worker
-	// goroutines never share one.
+	// Nodes come from block-allocated arenas — one malloc per block
+	// instead of per node, blocks growing geometrically so the arena
+	// stays proportional to the nodes emitted. Pointers into a full block
+	// stay valid when the next block is started, and each chunk has its
+	// own arena, so worker goroutines never share one.
 	var arena []ihjNode
 	for _, cn := range cur {
 		for i, ref := range joinRefs {
@@ -312,7 +325,7 @@ func (e *ihashEval) probeChunk(step int, cur []*ihjNode, joinRefs []varRef, bk *
 		}
 		for _, m := range ms {
 			if len(arena) == cap(arena) {
-				arena = make([]ihjNode, 0, 512)
+				arena = make([]ihjNode, 0, min(max(2*cap(arena), firstArenaBlock), maxArenaBlock))
 			}
 			arena = append(arena, ihjNode{parent: cn, vals: m.vals, tag: m.tag})
 			node := &arena[len(arena)-1]

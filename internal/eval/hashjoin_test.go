@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"provmin/internal/db"
@@ -229,5 +230,39 @@ func BenchmarkJoinMultiConjunct(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// TestHashJoinAllocationTracksWork bounds the bytes one evaluation of a
+// three-adjunct UCQ allocates on a four-fact instance. Every join step
+// here emits a handful of partial assignments, so the probe arenas must
+// stay proportional to that: a fixed 512-node block per probe chunk (24 KB
+// per join step, nine steps: ≈250 KB in all) is far over the bound, which
+// sits at about twice the ≈15 KB that work-sized arenas measure.
+func TestHashJoinAllocationTracksWork(t *testing.T) {
+	d := db.NewInstance()
+	d.MustAdd("R", "r1", "a", "a")
+	d.MustAdd("R", "r2", "a", "b")
+	d.MustAdd("R", "r3", "b", "a")
+	d.MustAdd("R", "r4", "b", "c")
+	u := query.MustParseUnion("ans(x) :- R(x,y), R(y,z), R(z,x)\n" +
+		"ans(x) :- R(x,y), R(y,x), R(x,x)\n" +
+		"ans(x) :- R(x,y), R(y,z), R(x,z)")
+	const runs = 50
+	if _, err := EvalUCQ(u, d); err != nil {
+		t.Fatal(err) // build the lazy id indexes outside the measurement
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := EvalUCQ(u, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perEval := (after.TotalAlloc - before.TotalAlloc) / runs
+	const bound = 32 << 10
+	if perEval > bound {
+		t.Errorf("one evaluation allocates %d B; want at most %d B", perEval, bound)
 	}
 }

@@ -18,12 +18,8 @@ func Isomorphic(a, b *query.CQ) bool {
 	if len(a.Vars()) != len(b.Vars()) {
 		return false
 	}
-	found := false
-	search(a, b, searchOpts{bijectiveAtom: true, injectiveVar: true}, func(*Homomorphism) bool {
-		found = true
-		return false
-	})
-	return found
+	var s homSearch
+	return s.run(Compile(a), Compile(b), searchOpts{bijectiveAtom: true, injectiveVar: true}, nil)
 }
 
 // Automorphisms returns the distinct automorphisms of q: isomorphisms from q
@@ -33,14 +29,12 @@ func Isomorphic(a, b *query.CQ) bool {
 func Automorphisms(q *query.CQ) []query.Subst {
 	seen := map[string]bool{}
 	var out []query.Subst
-	search(q, q, searchOpts{bijectiveAtom: true, injectiveVar: true}, func(h *Homomorphism) bool {
-		k := substKey(h.VarMap)
-		if !seen[k] {
+	c := Compile(q)
+	var s homSearch
+	s.run(c, c, searchOpts{bijectiveAtom: true, injectiveVar: true}, func(s *homSearch) bool {
+		vm := s.homomorphism().VarMap
+		if k := substKey(vm); !seen[k] {
 			seen[k] = true
-			vm := query.Subst{}
-			for a, b := range h.VarMap {
-				vm[a] = b
-			}
 			out = append(out, vm)
 		}
 		return true

@@ -13,9 +13,14 @@ import (
 // homomorphically into the completion.
 func Contained(u1, u2 *query.UCQ) bool {
 	all := unionConsts(u1.Consts(), u2.Consts())
+	targets := make([]*hom.Compiled, len(u2.Adjuncts))
+	for i, q2 := range u2.Adjuncts {
+		targets[i] = hom.Compile(q2)
+	}
+	var m hom.Matcher
 	for _, q := range u1.Adjuncts {
 		for _, qc := range PossibleCompletions(q, all) {
-			if !completionContainedIn(qc, u2) {
+			if !completionContainedIn(&m, hom.Compile(qc), targets) {
 				return false
 			}
 		}
@@ -23,9 +28,9 @@ func Contained(u1, u2 *query.UCQ) bool {
 	return true
 }
 
-func completionContainedIn(qc *query.CQ, u *query.UCQ) bool {
-	for _, q2 := range u.Adjuncts {
-		if hom.Exists(q2, qc) {
+func completionContainedIn(m *hom.Matcher, qc *hom.Compiled, u []*hom.Compiled) bool {
+	for _, q2 := range u {
+		if m.Exists(q2, qc) {
 			return true
 		}
 	}

@@ -48,9 +48,15 @@ func MinProvSteps(u *query.UCQ) Steps {
 	// Step III: remove adjuncts contained in another adjunct. All adjuncts
 	// are complete with respect to every constant in the query, so
 	// containment Qj ⊆ Qi reduces to the existence of a homomorphism
-	// Qi -> Qj (Theorem 3.1).
-	alive := removeRedundantAdjuncts(adjII, func(a, b *query.CQ) bool {
-		return hom.Exists(b, a)
+	// Qi -> Qj (Theorem 3.1). The O(n²) tests share one compiled form per
+	// adjunct and one set of search buffers.
+	compiled := make([]*hom.Compiled, len(adjII))
+	for i, q := range adjII {
+		compiled[i] = hom.Compile(q)
+	}
+	var m hom.Matcher
+	alive := removeRedundantAdjuncts(adjII, func(j, i int) bool {
+		return m.Exists(compiled[i], compiled[j])
 	})
 	st.QIII = &query.UCQ{Adjuncts: alive}
 	return st

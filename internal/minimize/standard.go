@@ -98,16 +98,17 @@ func StandardMinimizeUCQ(u *query.UCQ) *query.UCQ {
 			adjs[i] = StandardMinimizeCQNeq(q)
 		}
 	}
-	alive := removeRedundantAdjuncts(adjs, func(a, b *query.CQ) bool {
-		return ContainedCQ(a, b)
+	alive := removeRedundantAdjuncts(adjs, func(j, i int) bool {
+		return ContainedCQ(adjs[j], adjs[i])
 	})
 	return &query.UCQ{Adjuncts: alive}
 }
 
 // removeRedundantAdjuncts drops every adjunct contained in another adjunct,
 // keeping exactly one representative of each class of mutually contained
-// (equivalent) adjuncts — the first in input order.
-func removeRedundantAdjuncts(adjs []*query.CQ, contained func(a, b *query.CQ) bool) []*query.CQ {
+// (equivalent) adjuncts — the first in input order. contained(j, i)
+// decides adjs[j] ⊆ adjs[i].
+func removeRedundantAdjuncts(adjs []*query.CQ, contained func(j, i int) bool) []*query.CQ {
 	n := len(adjs)
 	alive := make([]bool, n)
 	for i := range alive {
@@ -121,10 +122,10 @@ func removeRedundantAdjuncts(adjs []*query.CQ, contained func(a, b *query.CQ) bo
 			if i == j || !alive[i] {
 				continue
 			}
-			if !contained(adjs[j], adjs[i]) {
+			if !contained(j, i) {
 				continue
 			}
-			if contained(adjs[i], adjs[j]) {
+			if contained(i, j) {
 				// Mutually contained: keep the earlier one.
 				if i < j {
 					alive[j] = false

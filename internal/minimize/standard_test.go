@@ -148,8 +148,9 @@ func TestStandardMinimizeUCQMergesEquivalentAdjuncts(t *testing.T) {
 func TestRemoveRedundantAdjunctsMutualContainment(t *testing.T) {
 	a := query.MustParse("ans(x) :- R(x,y)")
 	b := query.MustParse("ans(u) :- R(u,v)")
-	out := removeRedundantAdjuncts([]*query.CQ{a, b}, func(p, q *query.CQ) bool {
-		return ContainedCQ(p, q)
+	adjs := []*query.CQ{a, b}
+	out := removeRedundantAdjuncts(adjs, func(j, i int) bool {
+		return ContainedCQ(adjs[j], adjs[i])
 	})
 	if len(out) != 1 || out[0] != a {
 		t.Errorf("mutual containment should keep the first adjunct: %v", out)

@@ -32,7 +32,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -107,6 +106,7 @@ func (s *Server) route(pattern, op string, h func(w http.ResponseWriter, r *http
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		reqs.Inc()
+		r.Body = http.MaxBytesReader(w, r.Body, cluster.MaxRequestBytes)
 		err := s.checkRing(r)
 		if err == nil {
 			err = h(w, r)
@@ -203,11 +203,17 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // decodeJSON reads a JSON body into v, rejecting unknown fields so typos in
-// request payloads fail loudly instead of silently evaluating defaults.
+// request payloads fail loudly instead of silently evaluating defaults. A
+// body over cluster.MaxRequestBytes (route caps every body) is a 413.
 func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, 16<<20))
+	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return &apiError{status: http.StatusRequestEntityTooLarge,
+				msg: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)}
+		}
 		return badRequest("invalid JSON body: %v", err)
 	}
 	return nil

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"provmin/internal/cluster"
 	"provmin/internal/engine"
 )
 
@@ -558,5 +559,41 @@ func TestConcurrentHTTP(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
+	}
+}
+
+// TestOversizedBody413 sends a JSON body past the request cap. The node
+// must refuse it whole with 413 and a JSON error, not decode a truncated
+// prefix and answer a misleading 400 parse error.
+func TestOversizedBody413(t *testing.T) {
+	ts, _ := newTestServer(t)
+	id := createPaperInstance(t, ts)
+	big := strings.Repeat("a", cluster.MaxRequestBytes)
+	for _, tc := range []struct{ path, body string }{
+		{"/query", `{"instance":"` + id + `","query":"` + big + `"}`},
+		{"/instances/" + id + "/tuples", `{"facts":"` + big + `"}`},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var errBody struct {
+			Error string `json:"error"`
+		}
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body: status %d, want 413: %.200s", tc.path, len(tc.body), resp.StatusCode, body)
+		} else if err := json.Unmarshal(body, &errBody); err != nil || !strings.Contains(errBody.Error, "exceeds") {
+			t.Errorf("POST %s: 413 body is not a JSON error naming the limit: %.200s", tc.path, body)
+		}
+	}
+	// The cap refuses the request, not the connection or the instance.
+	status, body := doJSON(t, "POST", ts.URL+"/query", map[string]string{"instance": id, "query": "ans(x) :- R(x,y)"})
+	if status != http.StatusOK {
+		t.Fatalf("small query after oversized ones: status %d: %s", status, body)
 	}
 }
