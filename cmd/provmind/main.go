@@ -8,7 +8,7 @@
 // Usage:
 //
 //	provmind [-addr :8411] [-workers N] [-cache 1024]
-//	         [-eval-intern=true] [-eval-stats=true] [-eval-parallel 0]
+//	         [-eval-stats=true] [-eval-parallel 0]
 //	         [-result-cache-size 128] [-result-cache-bytes 33554432]
 //	         [-result-cache-maintain=true]
 //	         [-batch 256] [-batch-wait 2ms] [-shards 8]
@@ -77,7 +77,6 @@ func main() {
 	var (
 		addr          = flag.String("addr", ":8411", "listen address")
 		workers       = flag.Int("workers", 0, "evaluation worker count (0 = GOMAXPROCS)")
-		evalIntern    = flag.Bool("eval-intern", true, "evaluate joins on interned symbol ids (false = string keys, the ablation baseline)")
 		evalStats     = flag.Bool("eval-stats", true, "order joins with cardinality statistics (false = size-based planner)")
 		evalParallel  = flag.Int("eval-parallel", 0, "parallel hash-join probe workers (0 = GOMAXPROCS, 1 = sequential)")
 		cacheSize     = flag.Int("cache", 1024, "minimized-query LRU cache entries")
@@ -215,7 +214,6 @@ func main() {
 	cfg := engine.Config{
 		Workers: *workers,
 		Eval: eval.Options{
-			NoIntern:    !*evalIntern,
 			NoStats:     !*evalStats,
 			Parallelism: *evalParallel,
 		},

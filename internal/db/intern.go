@@ -6,7 +6,8 @@ import (
 )
 
 // Interning: every domain value an instance has ever seen is assigned a
-// dense uint32 id by a per-instance SymbolTable, at Add time. Relations keep
+// dense uint32 id by a per-instance SymbolTable, at Add time (a standalone
+// relation interns into a private table of its own). Relations keep
 // the interned image of each row next to the string rows, so the evaluator
 // can join on fixed-width integer keys (compare one machine word) instead
 // of re-hashing length-prefixed strings per probe. Ids are instance-local

@@ -42,9 +42,6 @@ func TestRelationInternedRowsTrackAddDelete(t *testing.T) {
 	r.MustAdd("t1", "x", "y")
 	r.MustAdd("t2", "y", "z")
 	r.MustAdd("t3", "x", "z")
-	if !r.Interned() {
-		t.Fatal("instance relation not interned")
-	}
 	checkAligned := func() {
 		t.Helper()
 		for i, row := range r.Rows() {
@@ -139,7 +136,21 @@ func TestDistinctEstimateTracksCardinality(t *testing.T) {
 		t.Fatalf("estimates cannot rank columns: hi=%.0f lo=%.0f", hi, lo)
 	}
 
-	if _, ok := NewRelation("S", 1).DistinctEstimate(0); ok {
-		t.Fatal("standalone relation reported statistics")
+	// A standalone relation carries ids and statistics too, from a symbol
+	// table of its own.
+	s := NewRelation("S", 1)
+	s.MustAdd("u1", "p")
+	s.MustAdd("u2", "q")
+	s.MustAdd("u3", "p")
+	for i, row := range s.Rows() {
+		if got := s.Symbols().Value(s.RowIDs(i)[0]); got != row.Tuple[0] {
+			t.Fatalf("standalone row %d: id resolves to %q want %q", i, got, row.Tuple[0])
+		}
+	}
+	if s.Symbols() == d.Symbols() {
+		t.Fatal("standalone relation shares an instance's symbol table")
+	}
+	if est, ok := s.DistinctEstimate(0); !ok || est < 1 || est > 3 {
+		t.Fatalf("standalone relation estimate = %.1f, %v; want a value in [1, 3]", est, ok)
 	}
 }

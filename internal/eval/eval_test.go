@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"provmin/internal/db"
@@ -234,32 +236,118 @@ func TestEvalArityMismatchFails(t *testing.T) {
 	}
 }
 
+// TestArityErrorEveryEntryPoint: an atom that disagrees with its
+// relation's arity is rejected with one message through every public
+// entry point, whichever evaluation path serves it — the server maps the
+// word "arity" in it to 400.
+func TestArityErrorEveryEntryPoint(t *testing.T) {
+	d := db.NewInstance()
+	d.MustAdd("R", "r1", "a", "b")
+	d.MustAdd("S", "s1", "a")
+	small := query.MustParse("ans(x) :- R(x,y,z)")                   // enumerator
+	large := query.MustParse("ans(x) :- R(x,y,z), S(x), S(y), S(z)") // hash join
+	entries := []struct {
+		name string
+		run  func() error
+	}{
+		{"EvalUCQ/1-atom", func() error { _, err := EvalUCQ(query.Single(small), d); return err }},
+		{"EvalUCQ/4-atom", func() error { _, err := EvalUCQ(query.Single(large), d); return err }},
+		{"EvalUCQDelta", func() error {
+			_, err := EvalUCQDelta(query.Single(large), d, map[string]int{"R": 0})
+			return err
+		}},
+		{"ForEachAssignment", func() error {
+			return ForEachAssignment(small, d, func(Assignment) error { return nil })
+		}},
+		{"EvalDirect", func() error {
+			_, _, err := EvalDirect[int](query.Single(large), d, semiring.Counting{}, func(string) int { return 1 })
+			return err
+		}},
+		{"Derivations", func() error { _, err := Derivations(query.Single(small), d, db.Tuple{"a"}); return err }},
+	}
+	var want string
+	for _, e := range entries {
+		err := e.run()
+		if err == nil {
+			t.Fatalf("%s accepted an arity-mismatched atom", e.name)
+		}
+		if want == "" {
+			want = err.Error()
+			if !strings.Contains(want, "arity") {
+				t.Fatalf("%s: message %q does not name the arity", e.name, want)
+			}
+		}
+		if err.Error() != want {
+			t.Errorf("%s: message %q, want %q", e.name, err, want)
+		}
+	}
+}
+
+// TestEvalOrderInvariance: the provenance result must not depend on the
+// order in which atoms are matched. Every permutation of the body, through
+// the enumerator and the hash join alike — cross-product steps included,
+// which the planner never picks here — must render exactly as the
+// reference does.
 func TestEvalOrderInvariance(t *testing.T) {
-	// The provenance result must not depend on the join strategy, the
-	// nested-loop join-order heuristic or the per-column index. Join must
-	// be pinned explicitly: without it every variant would silently take
-	// the (default) hash-join path and compare it against itself.
 	d := table4()
-	q := query.MustParse(qNoPminTxt)
-	greedy, err := EvalCQOpts(q, d, Options{Join: JoinNestedLoop, Order: OrderGreedy})
-	if err != nil {
-		t.Fatal(err)
+	for _, qt := range []string{qNoPminTxt, "ans(x) :- R(x,y), S(x), R(y,z), R(z,'a'), z != x"} {
+		q := query.MustParse(qt)
+		want := referenceEval(t, query.Single(q), d).String()
+		c, err := compileCQ(q, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perm := make([]int, len(q.Atoms))
+		for i := range perm {
+			perm[i] = i
+		}
+		n := 0
+		for {
+			enum := newResult()
+			if err := c.accumulate(enum, perm, nil); err != nil {
+				t.Fatal(err)
+			}
+			enum.finish()
+			hash := newResult()
+			e := &hashJoin{c: c, order: perm, varAt: make([]varRef, c.nvars), bound: make([]bool, c.nvars)}
+			if err := e.run(hash); err != nil {
+				t.Fatal(err)
+			}
+			hash.finish()
+			if got := enum.String(); got != want {
+				t.Fatalf("%s: enumerator in order %v diverges from the reference:\n%s\nvs\n%s", qt, perm, got, want)
+			}
+			if got := hash.String(); got != want {
+				t.Fatalf("%s: hash join in order %v diverges from the reference:\n%s\nvs\n%s", qt, perm, got, want)
+			}
+			n++
+			if !nextPermutation(perm) {
+				break
+			}
+		}
+		if n < 24 {
+			t.Fatalf("%s: only %d orders checked", qt, n)
+		}
 	}
-	naive, err := EvalCQOpts(q, d, Options{Join: JoinNestedLoop, Order: OrderAsWritten})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// nextPermutation advances p to its lexicographic successor, reporting
+// false once p was the last permutation.
+func nextPermutation(p []int) bool {
+	i := len(p) - 2
+	for i >= 0 && p[i] >= p[i+1] {
+		i--
 	}
-	noIndex, err := EvalCQOpts(q, d, Options{Join: JoinNestedLoop, Order: OrderGreedy, NoIndex: true})
-	if err != nil {
-		t.Fatal(err)
+	if i < 0 {
+		return false
 	}
-	hash, err := EvalCQOpts(q, d, Options{Join: JoinHash})
-	if err != nil {
-		t.Fatal(err)
+	j := len(p) - 1
+	for p[j] <= p[i] {
+		j--
 	}
-	if !greedy.SameAnnotated(naive) || !greedy.SameAnnotated(noIndex) || !greedy.SameAnnotated(hash) {
-		t.Errorf("evaluation options changed the result:\n%s\nvs\n%s\nvs\n%s\nvs\n%s", greedy, naive, noIndex, hash)
-	}
+	p[i], p[j] = p[j], p[i]
+	slices.Reverse(p[i+1:])
+	return true
 }
 
 func TestForEachAssignmentCount(t *testing.T) {
@@ -268,7 +356,7 @@ func TestForEachAssignmentCount(t *testing.T) {
 	counts := make([]int, len(u.Adjuncts))
 	for i, q := range u.Adjuncts {
 		n := 0
-		if err := ForEachAssignment(q, table2(), Options{}, func(Assignment) error {
+		if err := ForEachAssignment(q, table2(), func(Assignment) error {
 			n++
 			return nil
 		}); err != nil {

@@ -1,7 +1,8 @@
 package eval
 
 import (
-	"encoding/binary"
+	"runtime"
+	"sync"
 
 	"provmin/internal/db"
 	"provmin/internal/query"
@@ -9,37 +10,31 @@ import (
 )
 
 // This file is the set-at-a-time evaluator: instead of enumerating
-// assignments tuple by tuple (the nested-loop path in eval.go), it joins
-// whole conjuncts with hash joins on their shared variables, in an order a
-// small planner picks by estimated selectivity. Both evaluators realize
-// Def. 2.12 exactly — one monomial per satisfying assignment — so their
-// results are identical; the hash join only changes the cost of getting
-// there: each relation is hashed once per conjunct instead of probed once
-// per partial assignment, and partial assignments are parent-linked trie
-// nodes instead of per-row binding maps.
+// assignments tuple by tuple (intern.go), it joins whole conjuncts with
+// hash joins on their shared variables, in the order the planner picks
+// (plan.go). Each relation is hashed once per conjunct instead of probed
+// once per partial assignment, and partial assignments are parent-linked
+// nodes instead of per-row bindings. Join keys are fixed-width uint64
+// composites of symbol ids (one or two packed uint32 ids cover almost every
+// real join; wider keys pack ids into a byte string), build-side admission
+// checks are integer compares, and — because partial assignments are
+// immutable and N[X] polynomials are canonical — both the probe of a large
+// step and the final emission can be split across workers without changing
+// the result by a byte.
 
-// hashEvalCQ evaluates one conjunctive query set-at-a-time and accumulates
-// every satisfying assignment's head tuple and monomial into res.
-func hashEvalCQ(res *Result, q *query.CQ, d *db.Instance, opts Options) error {
-	if err := validateCQ(q, d); err != nil {
-		return err
-	}
-	// Constant-constant disequalities are statically decided: an equal pair
-	// makes the query unsatisfiable, an unequal pair always holds.
-	for _, dq := range q.Diseqs {
-		if dq.Left.Const && dq.Right.Const && dq.Left.Name == dq.Right.Name {
-			return nil
-		}
-	}
-	if len(q.Atoms) == 0 {
-		// No relational atoms: exactly the empty assignment (variables
-		// cannot occur anywhere by safety), annotated with the unit 1.
-		res.add(headTuple(q, nil), semiring.FromMonomial(semiring.One, 1))
-		return nil
-	}
-	e := &hashEval{q: q, d: d, order: planAtomOrder(q, d, opts), varAt: map[string]varRef{}}
-	return e.run(res)
-}
+// parallelProbeThreshold is the default minimum number of partial
+// assignments a join step must carry before its probe fans out. Below it
+// the goroutine hand-off costs more than the probe itself.
+const parallelProbeThreshold = 1024
+
+// Probe arenas start at firstArenaBlock nodes and double per block up to
+// maxArenaBlock, so a step that emits a handful of nodes allocates a
+// handful of slots while a large step still pays one malloc per
+// maxArenaBlock nodes.
+const (
+	firstArenaBlock = 8
+	maxArenaBlock   = 512
+)
 
 // varRef locates a variable's value inside the join trie: bound at plan
 // step, at position idx of that step's newly-bound values.
@@ -47,140 +42,195 @@ type varRef struct {
 	step, idx int
 }
 
-// hjNode is one partial assignment after some plan step: the values of the
-// variables this step newly bound, the annotation tag of the row joined in,
-// and a link to the assignment it extends. Sharing the parent chain keeps
-// the pipeline allocation-light: emitting a row costs one node, never a
-// copy of the whole binding.
+// hjNode is one partial assignment: ids of the variables its step newly
+// bound, the row tag joined in, and the assignment it extends. Immutable
+// after construction, so nodes are shared freely across worker goroutines.
 type hjNode struct {
 	parent *hjNode
-	vals   []string // values of this step's new variables (shared, immutable)
+	vals   []uint32
 	tag    string
 }
 
 // value resolves a variable reference from the node for plan step `step`.
-func (n *hjNode) value(step int, ref varRef) string {
+func (n *hjNode) value(step int, ref varRef) uint32 {
 	for ; step > ref.step; step-- {
 		n = n.parent
 	}
 	return n.vals[ref.idx]
 }
 
-type hashEval struct {
-	q     *query.CQ
-	d     *db.Instance
-	order []int
-	varAt map[string]varRef
-	key   []byte // reusable join-key scratch
-}
-
-func (e *hashEval) run(res *Result) error {
-	q := e.q
-	diseqStep := e.scheduleDiseqs()
-	cur := []*hjNode{{}}
-	for step, atomIdx := range e.order {
-		at := q.Atoms[atomIdx]
-		rel := e.d.Lookup(at.Rel)
-		if rel == nil || rel.Len() == 0 {
-			return nil // an empty conjunct admits no assignments
-		}
-		joinRefs, buckets := e.buildSide(step, at, rel)
-		next := make([]*hjNode, 0, len(cur))
-		for _, cn := range cur {
-			e.key = e.key[:0]
-			for _, ref := range joinRefs {
-				e.key = appendKeyPart(e.key, cn.value(step-1, ref))
-			}
-			for _, m := range buckets[string(e.key)] {
-				node := &hjNode{parent: cn, vals: m.vals, tag: m.tag}
-				if !e.diseqsHold(diseqStep, step, node) {
-					continue
-				}
-				next = append(next, node)
-			}
-		}
-		if len(next) == 0 {
-			return nil
-		}
-		cur = next
-	}
-
-	last := len(e.order) - 1
-	headRefs := make([]varRef, len(q.Head.Args))
-	for i, a := range q.Head.Args {
-		if !a.Const {
-			headRefs[i] = e.varAt[a.Name]
-		}
-	}
-	tags := make([]string, len(e.order))
-	for _, n := range cur {
-		t := make(db.Tuple, len(q.Head.Args))
-		for i, a := range q.Head.Args {
-			if a.Const {
-				t[i] = a.Name
-			} else {
-				t[i] = n.value(last, headRefs[i])
-			}
-		}
-		for i, p := len(tags)-1, n; i >= 0; i, p = i-1, p.parent {
-			tags[i] = p.tag
-		}
-		res.add(t, semiring.FromMonomial(semiring.NewMonomial(tags...), 1))
-	}
-	return nil
-}
-
-// match is one relation row admitted by an atom's constants, projected to
-// the values of the atom's newly introduced variables.
+// match is one build-side row admitted by an atom's constants, projected
+// to the ids of the atom's newly introduced variables.
 type match struct {
-	vals []string
+	vals []uint32
 	tag  string
 }
 
-// buildSide scans the relation for rows compatible with the atom's
-// constants and intra-atom repeated variables, and hashes them by the
-// values of the variables shared with the already-bound set. It registers
-// the atom's new variables in e.varAt and returns the references of the
-// shared (join) variables plus the hash buckets.
-func (e *hashEval) buildSide(step int, at query.Atom, rel *db.Relation) ([]varRef, map[string][]match) {
-	// firstCol[i] is the first column of at where the variable of column i
-	// occurs; columns with firstCol[i] != i must repeat that earlier value.
-	firstCol := make([]int, len(at.Args))
-	seen := map[string]int{}
-	var joinRefs, newRefs []varRef
+// buckets hashes build-side rows by their join-column ids. Up to two join
+// columns — the overwhelmingly common case — the key is the two ids packed
+// into one uint64 (injective, no allocation); wider keys pack all ids into
+// a byte string.
+type buckets struct {
+	wide  bool
+	small map[uint64][]match
+	big   map[string][]match
+}
+
+func newBuckets(njoin int) *buckets {
+	b := &buckets{wide: njoin > 2}
+	if b.wide {
+		b.big = map[string][]match{}
+	} else {
+		b.small = map[uint64][]match{}
+	}
+	return b
+}
+
+func packPair(ids []uint32) uint64 {
+	var k uint64
+	for _, id := range ids { // 0, 1 or 2 ids
+		k = k<<32 | uint64(id)
+	}
+	return k
+}
+
+func packWide(key []byte, ids []uint32) []byte {
+	for _, id := range ids {
+		key = append(key, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
+	}
+	return key
+}
+
+func (b *buckets) put(ids []uint32, m match) {
+	if b.wide {
+		k := string(packWide(nil, ids))
+		b.big[k] = append(b.big[k], m)
+	} else {
+		k := packPair(ids)
+		b.small[k] = append(b.small[k], m)
+	}
+}
+
+type hashJoin struct {
+	c     *compiledCQ
+	opts  Options
+	order []int
+	varAt []varRef // per dense var index
+	bound []bool   // per dense var index: registered in varAt yet?
+}
+
+// hashJoinEval evaluates one conjunctive query set-at-a-time and
+// accumulates every satisfying assignment's head tuple and monomial into
+// res.
+func hashJoinEval(res *Result, q *query.CQ, d *db.Instance, opts Options) error {
+	c, err := compileCQ(q, d)
+	if err != nil {
+		return err
+	}
+	if c.unsat || c.empty || len(c.atoms) == 0 {
+		return c.accumulate(res, nil, nil) // nothing to join: at most the empty assignment
+	}
+	e := &hashJoin{
+		c:     c,
+		opts:  opts,
+		order: planAtomOrder(q, d, opts),
+		varAt: make([]varRef, c.nvars),
+		bound: make([]bool, c.nvars),
+	}
+	return e.run(res)
+}
+
+// workers returns how many goroutines may share a probe or emit of n
+// items, per the configured parallelism and threshold; 1 means stay
+// sequential.
+func (e *hashJoin) workers(n int) int {
+	thr := e.opts.ParallelThreshold
+	if thr <= 0 {
+		thr = parallelProbeThreshold
+	}
+	par := e.opts.Parallelism
+	if par <= 0 {
+		par = runtime.GOMAXPROCS(0)
+	}
+	if n < thr || par <= 1 {
+		return 1
+	}
+	if par > n {
+		par = n
+	}
+	return par
+}
+
+func (e *hashJoin) run(res *Result) error {
+	diseqStep := e.scheduleDiseqs()
+	cur := []*hjNode{{}}
+	for step, atomIdx := range e.order {
+		joinRefs, bk := e.buildSide(step, e.c.atoms[atomIdx])
+		cur = e.probe(step, cur, joinRefs, bk, diseqStep)
+		if len(cur) == 0 {
+			return nil
+		}
+	}
+	e.emit(res, cur)
+	return nil
+}
+
+// buildSide scans the atom's relation for rows compatible with its
+// constants and intra-atom repeated variables, hashing admitted rows by
+// the ids of the columns whose variables are already bound. It registers
+// the atom's new variables in e.varAt and returns the join-variable
+// references plus the buckets.
+func (e *hashJoin) buildSide(step int, at iAtom) ([]varRef, *buckets) {
+	firstCol := make([]int, len(at.args))
+	seenAt := make(map[int]int, len(at.args)) // var index -> first column
+	var joinRefs []varRef
 	var joinCols, newCols []int
-	for i, a := range at.Args {
+	nnew := 0
+	for i, a := range at.args {
 		firstCol[i] = i
-		if a.Const {
+		if a.isConst {
 			continue
 		}
-		if j, ok := seen[a.Name]; ok {
+		if j, ok := seenAt[a.v]; ok {
 			firstCol[i] = j
 			continue
 		}
-		seen[a.Name] = i
-		if ref, bound := e.varAt[a.Name]; bound {
-			joinRefs = append(joinRefs, ref)
+		seenAt[a.v] = i
+		if e.bound[a.v] {
+			joinRefs = append(joinRefs, e.varAt[a.v])
 			joinCols = append(joinCols, i)
 		} else {
-			ref := varRef{step: step, idx: len(newRefs)}
-			e.varAt[a.Name] = ref
-			newRefs = append(newRefs, ref)
+			e.varAt[a.v] = varRef{step: step, idx: nnew}
+			e.bound[a.v] = true
+			nnew++
 			newCols = append(newCols, i)
 		}
 	}
 
-	buckets := map[string][]match{}
-	for _, rowIdx := range candidateRows(rel, at) {
-		row := rel.Rows()[rowIdx]
+	bk := newBuckets(len(joinCols))
+	keyIDs := make([]uint32, len(joinCols))
+	rows, n := e.candidateRows(at)
+	// One flat id arena for every admitted row's projection instead of one
+	// tiny slice per row; capacity covers all candidates, so appends never
+	// reallocate and the sub-slices stay valid.
+	var flat []uint32
+	if len(newCols) > 0 {
+		flat = make([]uint32, 0, n*len(newCols))
+	}
+	for k := 0; k < n; k++ {
+		rowIdx := k
+		if rows != nil {
+			rowIdx = rows[k]
+		}
+		row := at.rel.RowIDs(rowIdx)
 		ok := true
-		for i, a := range at.Args {
-			if a.Const {
-				if row.Tuple[i] != a.Name {
+		for i, a := range at.args {
+			if a.isConst {
+				if row[i] != a.val {
 					ok = false
 					break
 				}
-			} else if firstCol[i] != i && row.Tuple[i] != row.Tuple[firstCol[i]] {
+			} else if firstCol[i] != i && row[i] != row[firstCol[i]] {
 				ok = false
 				break
 			}
@@ -188,220 +238,193 @@ func (e *hashEval) buildSide(step int, at query.Atom, rel *db.Relation) ([]varRe
 		if !ok {
 			continue
 		}
-		e.key = e.key[:0]
-		for _, c := range joinCols {
-			e.key = appendKeyPart(e.key, row.Tuple[c])
+		for i, c := range joinCols {
+			keyIDs[i] = row[c]
 		}
-		m := match{tag: row.Tag}
+		m := match{tag: at.rel.Rows()[rowIdx].Tag}
 		if len(newCols) > 0 {
-			m.vals = make([]string, len(newCols))
-			for i, c := range newCols {
-				m.vals[i] = row.Tuple[c]
+			start := len(flat)
+			for _, c := range newCols {
+				flat = append(flat, row[c])
 			}
+			m.vals = flat[start:len(flat):len(flat)]
 		}
-		buckets[string(e.key)] = append(buckets[string(e.key)], m)
+		bk.put(keyIDs, m)
 	}
-	return joinRefs, buckets
+	return joinRefs, bk
 }
 
-// appendKeyPart appends one join-key component, length-prefixed: values are
-// arbitrary strings (they arrive over HTTP), so a separator byte could make
-// two distinct bindings collide — e.g. ("a\x1f","b") vs ("a","\x1fb") under
-// the naive 0x1f framing — and admit joins the nested-loop evaluator
-// rejects. A length prefix makes the encoding injective.
-func appendKeyPart(key []byte, v string) []byte {
-	key = binary.AppendUvarint(key, uint64(len(v)))
-	return append(key, v...)
-}
-
-// candidateRows narrows the scan by the per-column index on the first
-// constant argument, falling back to a full scan.
-func candidateRows(rel *db.Relation, at query.Atom) []int {
-	for col, a := range at.Args {
-		if a.Const {
-			return rel.RowsWith(col, a.Name)
+// candidateRows narrows the build scan by the per-column id index on the
+// first constant argument. It returns the narrowed row indices and their
+// count, or nil and the relation's length for a full scan, which then
+// needs no index slice at all.
+func (e *hashJoin) candidateRows(at iAtom) ([]int, int) {
+	for col, a := range at.args {
+		if a.isConst {
+			rows := at.rel.RowsWithID(col, a.val)
+			return rows, len(rows)
 		}
 	}
-	all := make([]int, rel.Len())
-	for i := range all {
-		all[i] = i
-	}
-	return all
+	return nil, at.rel.Len()
 }
 
-// planAtomOrder picks the join order for a hash evaluation: the
-// cardinality-statistics planner when the instance carries distinct-count
-// sketches and stats are not ablated away, otherwise the original
-// size-based selectivity order.
-func planAtomOrder(q *query.CQ, d *db.Instance, opts Options) []int {
-	if !opts.NoStats {
-		if order, ok := planOrderCost(q, d); ok {
-			return order
-		}
+// probe extends every partial assignment in cur through the buckets,
+// fanning the work across workers when the step is large enough. Chunks
+// are contiguous and concatenated in order, so the resulting slice is
+// exactly what a sequential probe would have produced.
+func (e *hashJoin) probe(step int, cur []*hjNode, joinRefs []varRef, bk *buckets, diseqStep []int) []*hjNode {
+	nw := e.workers(len(cur))
+	if nw == 1 {
+		return e.probeChunk(step, cur, joinRefs, bk, diseqStep)
 	}
-	return planOrder(q, d)
+	parts := make([][]*hjNode, nw)
+	var wg sync.WaitGroup
+	chunk := (len(cur) + nw - 1) / nw
+	for w := 0; w < nw; w++ {
+		lo := w * chunk
+		hi := lo + chunk
+		if hi > len(cur) {
+			hi = len(cur)
+		}
+		if lo >= hi {
+			break
+		}
+		wg.Add(1)
+		go func(w, lo, hi int) {
+			defer wg.Done()
+			parts[w] = e.probeChunk(step, cur[lo:hi], joinRefs, bk, diseqStep)
+		}(w, lo, hi)
+	}
+	wg.Wait()
+	next := parts[0]
+	for _, p := range parts[1:] {
+		next = append(next, p...)
+	}
+	return next
 }
 
-// planOrderCost is the cost-based planner: it greedily grows the join
-// prefix by the atom minimizing the estimated intermediate cardinality
-//
-//	card' = card × rows(atom) / Π over bound join columns max(1, distinct(col))
-//
-// with per-column distinct counts taken from the relations' HyperLogLog
-// sketches. The size-based planner treats a join through a 2-distinct
-// column and one through a key column identically; the division above is
-// exactly what tells them apart. Atoms sharing a bound variable are still
-// preferred over cross products regardless of estimate, and ties keep body
-// order, so plans stay deterministic. Returns ok=false when some touched
-// relation carries no statistics (a standalone relation outside any
-// instance); the caller then falls back to planOrder.
-func planOrderCost(q *query.CQ, d *db.Instance) ([]int, bool) {
-	n := len(q.Atoms)
-	base := make([]float64, n)
-	rels := make([]*db.Relation, n)
-	for i, at := range q.Atoms {
-		rel := d.Lookup(at.Rel)
-		rels[i] = rel
-		if rel == nil {
-			continue // base 0: scheduled first, terminates evaluation at once
+func (e *hashJoin) probeChunk(step int, cur []*hjNode, joinRefs []varRef, bk *buckets, diseqStep []int) []*hjNode {
+	next := make([]*hjNode, 0, len(cur))
+	keyIDs := make([]uint32, len(joinRefs))
+	var wideKey []byte
+	// Nodes come from block-allocated arenas — one malloc per block
+	// instead of per node, blocks growing geometrically so the arena
+	// stays proportional to the nodes emitted. Pointers into a full block
+	// stay valid when the next block is started, and each chunk has its
+	// own arena, so worker goroutines never share one.
+	var arena []hjNode
+	for _, cn := range cur {
+		for i, ref := range joinRefs {
+			keyIDs[i] = cn.value(step-1, ref)
 		}
-		if !rel.Interned() {
-			return nil, false
+		var ms []match
+		if bk.wide {
+			wideKey = packWide(wideKey[:0], keyIDs)
+			ms = bk.big[string(wideKey)]
+		} else {
+			ms = bk.small[packPair(keyIDs)]
 		}
-		e := float64(rel.Len())
-		for col, a := range at.Args {
-			if a.Const {
-				if c := float64(len(rel.RowsWith(col, a.Name))); c < e {
-					e = c
-				}
+		for _, m := range ms {
+			if len(arena) == cap(arena) {
+				arena = make([]hjNode, 0, min(max(2*cap(arena), firstArenaBlock), maxArenaBlock))
 			}
-		}
-		base[i] = e
-	}
-	order := make([]int, 0, n)
-	used := make([]bool, n)
-	bound := map[string]bool{}
-	card := 1.0
-	for len(order) < n {
-		best, bestShares := -1, false
-		bestCard := 0.0
-		for i := 0; i < n; i++ {
-			if used[i] {
+			arena = append(arena, hjNode{parent: cn, vals: m.vals, tag: m.tag})
+			node := &arena[len(arena)-1]
+			if !e.diseqsHold(diseqStep, step, node) {
+				arena = arena[:len(arena)-1] // slot reused by the next match
 				continue
 			}
-			sel := 1.0
-			shares := false
-			if rels[i] != nil {
-				for col, a := range q.Atoms[i].Args {
-					if a.Const || !bound[a.Name] {
-						continue
-					}
-					shares = true
-					if dist, ok := rels[i].DistinctEstimate(col); ok && dist > 1 {
-						sel /= dist
-					}
-				}
-			}
-			cand := card * base[i] * sel
-			switch {
-			case best == -1,
-				shares && !bestShares,
-				shares == bestShares && cand < bestCard:
-				best, bestShares, bestCard = i, shares, cand
-			}
-		}
-		order = append(order, best)
-		used[best] = true
-		if card = bestCard; card < 1 {
-			card = 1
-		}
-		for _, a := range q.Atoms[best].Args {
-			if !a.Const {
-				bound[a.Name] = true
-			}
+			next = append(next, node)
 		}
 	}
-	return order, true
+	return next
 }
 
-// planOrder is the selectivity planner: every atom's cardinality is
-// estimated from its relation size, tightened by the index count of its
-// most selective constant column; the order then greedily extends the
-// joined prefix, always preferring atoms that share a bound variable (so
-// cross products happen only when the query itself is disconnected) and,
-// among those, the smallest estimate.
-func planOrder(q *query.CQ, d *db.Instance) []int {
-	n := len(q.Atoms)
-	est := make([]int, n)
-	for i, at := range q.Atoms {
-		rel := d.Lookup(at.Rel)
-		if rel == nil {
-			continue // est 0: schedule first, terminates evaluation at once
-		}
-		e := rel.Len()
-		for col, a := range at.Args {
-			if a.Const {
-				if c := len(rel.RowsWith(col, a.Name)); c < e {
-					e = c
-				}
-			}
-		}
-		est[i] = e
+// emit materializes the final assignments into res, splitting across
+// workers with per-worker partial results when the set is large. The
+// partials are merged in chunk order and polynomial addition is
+// commutative with a canonical representation, so the merged result is
+// byte-identical to a sequential emit.
+func (e *hashJoin) emit(res *Result, cur []*hjNode) {
+	nw := e.workers(len(cur))
+	if nw == 1 {
+		e.emitChunk(res, cur)
+		return
 	}
-	order := make([]int, 0, n)
-	used := make([]bool, n)
-	boundVars := map[string]bool{}
-	for len(order) < n {
-		best, bestShares := -1, false
-		for i := 0; i < n; i++ {
-			if used[i] {
-				continue
-			}
-			shares := false
-			for _, a := range q.Atoms[i].Args {
-				if !a.Const && boundVars[a.Name] {
-					shares = true
-					break
-				}
-			}
-			switch {
-			case best == -1,
-				shares && !bestShares,
-				shares == bestShares && est[i] < est[best]:
-				best, bestShares = i, shares
-			}
+	parts := make([]*Result, nw)
+	var wg sync.WaitGroup
+	chunk := (len(cur) + nw - 1) / nw
+	for w := 0; w < nw; w++ {
+		lo := w * chunk
+		hi := lo + chunk
+		if hi > len(cur) {
+			hi = len(cur)
 		}
-		order = append(order, best)
-		used[best] = true
-		for _, a := range q.Atoms[best].Args {
-			if !a.Const {
-				boundVars[a.Name] = true
-			}
+		if lo >= hi {
+			break
+		}
+		wg.Add(1)
+		go func(w, lo, hi int) {
+			defer wg.Done()
+			parts[w] = newResult()
+			e.emitChunk(parts[w], cur[lo:hi])
+		}(w, lo, hi)
+	}
+	wg.Wait()
+	for _, p := range parts {
+		if p != nil {
+			res.merge(p)
 		}
 	}
-	return order
 }
 
-// scheduleDiseqs maps each disequality to the earliest plan step after
-// which both of its sides are decided, so the pipeline filters as soon as
-// possible. Constant-constant pairs were decided statically and get -1.
-func (e *hashEval) scheduleDiseqs() []int {
-	boundAt := map[string]int{}
+func (e *hashJoin) emitChunk(res *Result, cur []*hjNode) {
+	c := e.c
+	last := len(e.order) - 1
+	headRefs := make([]varRef, len(c.head))
+	for i, a := range c.head {
+		if !a.isConst {
+			headRefs[i] = e.varAt[a.v]
+		}
+	}
+	tags := make([]string, len(e.order))
+	for _, n := range cur {
+		t := make(db.Tuple, len(c.head))
+		for i, a := range c.head {
+			if a.isConst {
+				t[i] = c.q.Head.Args[i].Name
+			} else {
+				t[i] = c.syms.Value(n.value(last, headRefs[i]))
+			}
+		}
+		for i, p := len(tags)-1, n; i >= 0; i, p = i-1, p.parent {
+			tags[i] = p.tag
+		}
+		res.addWitness(t, semiring.MonomialFromVars(tags))
+	}
+}
+
+// scheduleDiseqs maps each compiled disequality to the earliest plan step
+// after which both sides are decided (const-const pairs were decided at
+// compile time and never reach here).
+func (e *hashJoin) scheduleDiseqs() []int {
+	boundAt := make([]int, e.c.nvars)
+	for i := range boundAt {
+		boundAt[i] = -1
+	}
 	for step, atomIdx := range e.order {
-		for _, a := range e.q.Atoms[atomIdx].Args {
-			if !a.Const {
-				if _, ok := boundAt[a.Name]; !ok {
-					boundAt[a.Name] = step
-				}
+		for _, a := range e.c.atoms[atomIdx].args {
+			if !a.isConst && boundAt[a.v] < 0 {
+				boundAt[a.v] = step
 			}
 		}
 	}
-	stepOf := make([]int, len(e.q.Diseqs))
-	for i, dq := range e.q.Diseqs {
+	stepOf := make([]int, len(e.c.diseqs))
+	for i, dq := range e.c.diseqs {
 		step := -1
-		for _, side := range []query.Arg{dq.Left, dq.Right} {
-			if !side.Const && boundAt[side.Name] > step {
-				step = boundAt[side.Name]
+		for _, side := range dq {
+			if !side.isConst && boundAt[side.v] > step {
+				step = boundAt[side.v]
 			}
 		}
 		stepOf[i] = step
@@ -410,18 +433,23 @@ func (e *hashEval) scheduleDiseqs() []int {
 }
 
 // diseqsHold checks the disequalities scheduled at this step against a
-// freshly extended assignment.
-func (e *hashEval) diseqsHold(diseqStep []int, step int, n *hjNode) bool {
-	for i, dq := range e.q.Diseqs {
+// freshly extended assignment. An uninterned constant side (invalidID)
+// never equals a bound variable's id, so the integer compare is exact.
+func (e *hashJoin) diseqsHold(diseqStep []int, step int, n *hjNode) bool {
+	for i, dq := range e.c.diseqs {
 		if diseqStep[i] != step {
 			continue
 		}
-		l, r := dq.Left.Name, dq.Right.Name
-		if !dq.Left.Const {
-			l = n.value(step, e.varAt[dq.Left.Name])
+		var l, r uint32
+		if dq[0].isConst {
+			l = dq[0].val
+		} else {
+			l = n.value(step, e.varAt[dq[0].v])
 		}
-		if !dq.Right.Const {
-			r = n.value(step, e.varAt[dq.Right.Name])
+		if dq[1].isConst {
+			r = dq[1].val
+		} else {
+			r = n.value(step, e.varAt[dq[1].v])
 		}
 		if l == r {
 			return false

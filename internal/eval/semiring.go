@@ -16,12 +16,15 @@ func EvalDirect[T any](u *query.UCQ, d *db.Instance, k semiring.Semiring[T], val
 	acc := map[string]T{}
 	var tuples []db.Tuple
 	for _, q := range u.Adjuncts {
-		err := ForEachAssignment(q, d, Options{}, func(a Assignment) error {
-			t := headTuple(q, a.Binding)
+		c, err := compileCQ(q, d)
+		if err != nil {
+			return nil, nil, err
+		}
+		err = c.forEach(nil, nil, func(rows []int, binding []uint32) error {
+			t := c.headTuple(binding)
 			term := k.One()
-			for i, at := range q.Atoms {
-				rel := d.Lookup(at.Rel)
-				term = k.Mul(term, val(rel.Rows()[a.Rows[i]].Tag))
+			for i, at := range c.atoms {
+				term = k.Mul(term, val(at.rel.Rows()[rows[i]].Tag))
 			}
 			key := t.Key()
 			if cur, ok := acc[key]; ok {
@@ -52,14 +55,18 @@ type Derivation struct {
 func Derivations(u *query.UCQ, d *db.Instance, t db.Tuple) ([]Derivation, error) {
 	var out []Derivation
 	for ai, q := range u.Adjuncts {
-		err := ForEachAssignment(q, d, Options{}, func(a Assignment) error {
-			if !headTuple(q, a.Binding).Equal(t) {
+		c, err := compileCQ(q, d)
+		if err != nil {
+			return nil, err
+		}
+		err = c.forEach(nil, nil, func(rows []int, binding []uint32) error {
+			if !c.headTuple(binding).Equal(t) {
 				return nil
 			}
 			out = append(out, Derivation{
 				AdjunctIdx: ai,
-				Assignment: a,
-				Monomial:   assignmentMonomial(q, d, a),
+				Assignment: c.assignment(rows, binding),
+				Monomial:   semiring.NewMonomial(c.tags(rows)...),
 			})
 			return nil
 		})
